@@ -37,6 +37,9 @@ type PowerManager struct {
 
 	lastBoot   float64
 	bootedOnce bool
+	// online is Plan's scratch list of the On nodes, refilled once per
+	// Plan so rounds do not allocate it.
+	online []*cluster.Node
 }
 
 // NewPowerManager validates thresholds given in percent (30, 90) or
@@ -93,8 +96,9 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 	// fleet when it passes λmax — for policies that respect the
 	// occupation limit the node ratio always triggers first, so this
 	// only disciplines overcommitting schedulers.
+	pm.online = c.AppendOnline(pm.online[:0])
 	var reserved, capacity float64
-	for _, n := range c.OnlineNodes() {
+	for _, n := range pm.online {
 		reserved += n.CPUReserved()
 		capacity += n.Class.CPU
 	}
@@ -109,7 +113,7 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 	// from the wait. These boots bypass the rate limit — the paper's
 	// scheduler likewise reacts to SLA violations immediately. This
 	// rescue also prevents total-drain deadlock.
-	emergency := pm.nodesNeededForQueue(now, c, queue)
+	emergency := pm.nodesNeededForQueue(now, c, pm.online, queue)
 
 	target = maxInt(target, working, pm.MinExec)
 	if target > total {
@@ -172,8 +176,9 @@ func (pm *PowerManager) Plan(now float64, c *cluster.Cluster, queue []*vm.VM) (o
 // nodesNeededForQueue estimates how many extra nodes must boot for
 // the queued VMs that (a) no online node can currently hold and
 // (b) would miss their deadline if they kept waiting: it first-fit
-// packs those misfits into the best powered-off node profile.
-func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, queue []*vm.VM) int {
+// packs those misfits into the best powered-off node profile. online
+// is c's On nodes in cluster order.
+func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, online []*cluster.Node, queue []*vm.VM) int {
 	if len(queue) == 0 {
 		return 0
 	}
@@ -187,7 +192,7 @@ func (pm *PowerManager) nodesNeededForQueue(now float64, c *cluster.Cluster, que
 			continue
 		}
 		placed := false
-		for _, n := range c.OnlineNodes() {
+		for _, n := range online {
 			if !n.Satisfies(v.Req) {
 				continue
 			}

@@ -28,6 +28,7 @@ func (s *Simulation) applyPlace(a policy.Place) {
 		return
 	}
 	s.removeFromQueue(v)
+	s.addLive(v)
 	v.State = vm.Creating
 	v.Host = n.ID
 	v.Touch()
@@ -48,7 +49,6 @@ func (s *Simulation) onCreated(v *vm.VM) {
 	n := s.cluster.Node(v.Host)
 	n.EndCreate()
 	v.State = vm.Running
-	s.active++
 	v.Touch()
 	if v.Start < 0 {
 		v.Start = s.eng.Now()
@@ -258,11 +258,7 @@ func (s *Simulation) onRepaired(n *cluster.Node) {
 // requeueFailed sends a lost VM back to the virtual host, resuming
 // from its checkpoint if it has one.
 func (s *Simulation) requeueFailed(v *vm.VM) {
-	// Callers hand us the VM with its pre-failure state intact, so this
-	// is the one place that catches every active->queued transition.
-	if v.State == vm.Running || v.State == vm.Migrating {
-		s.active--
-	}
+	s.dropLive(v)
 	v.State = vm.Queued
 	v.Host = -1
 	v.MigrateTo = -1

@@ -55,6 +55,12 @@ type Simulation struct {
 
 	queue []*vm.VM // FIFO virtual-host queue
 	vms   []*vm.VM // all VMs ever created, by ID
+	// live holds the VMs occupying node resources (Creating, Running
+	// or Migrating) in ID order. It is maintained at the only
+	// transitions into and out of that set — applyPlace, onCompletion
+	// and requeueFailed — so a round's input costs O(active), not
+	// O(every VM ever admitted).
+	live []*vm.VM
 
 	// completionTimer tracks the pending completion event per VM ID.
 	completionTimer map[int]*simkit.Timer
@@ -72,7 +78,6 @@ type Simulation struct {
 	migrations  int
 	failCount   int
 	completed   int
-	active      int // VMs currently Running or Migrating, maintained on state transitions
 	roundActive bool
 	started     bool
 	sealed      bool
@@ -178,6 +183,22 @@ func (s *Simulation) AppendQueue(buf []*vm.VM) []*vm.VM {
 
 // VMs returns all VMs materialized so far (indexed by ID).
 func (s *Simulation) VMs() []*vm.VM { return s.vms }
+
+// StateCounts returns how many admitted VMs are in each lifecycle
+// state, indexed by vm.State, without sweeping the history: the
+// occupying states come from the live index, Completed from the
+// completion counter, and Queued is the rest (including VMs injected
+// but not yet arrived). No VM is ever Failed: a failed node's VMs are
+// requeued.
+func (s *Simulation) StateCounts() [vm.Failed + 1]int {
+	var c [vm.Failed + 1]int
+	for _, v := range s.live {
+		c[v.State]++
+	}
+	c[vm.Completed] = s.completed
+	c[vm.Queued] = len(s.vms) - s.completed - len(s.live)
+	return c
+}
 
 // Now returns the current virtual time in seconds.
 func (s *Simulation) Now() float64 { return s.eng.Now() }
@@ -668,7 +689,7 @@ func (s *Simulation) onCompletion(v *vm.VM) {
 		}
 	}
 	rt.node.RemoveVM(v)
-	s.active--
+	s.dropLive(v)
 	v.State = vm.Completed
 	v.Finish = s.eng.Now()
 	v.Alloc = 0
@@ -717,7 +738,7 @@ func (s *Simulation) checkpointTick() {
 	for _, rt := range s.rt {
 		s.advanceNode(rt, now)
 	}
-	for _, v := range s.vms {
+	for _, v := range s.live {
 		if v.State == vm.Running {
 			v.Checkpoint = v.Progress
 		}
@@ -778,17 +799,32 @@ func (s *Simulation) round() {
 	s.touchCounts()
 }
 
-func (s *Simulation) activeVMs() []*vm.VM {
-	return s.appendActiveVMs(nil)
-}
-
 // appendActiveVMs appends the VMs occupying node resources to buf in
 // ID order and returns it.
 func (s *Simulation) appendActiveVMs(buf []*vm.VM) []*vm.VM {
-	for _, v := range s.vms {
-		if v.Active() {
-			buf = append(buf, v)
-		}
+	return append(buf, s.live...)
+}
+
+// liveIndex returns where v sits, or would sit, in the ID-ordered
+// live index.
+func (s *Simulation) liveIndex(v *vm.VM) int {
+	return sort.Search(len(s.live), func(i int) bool { return s.live[i].ID >= v.ID })
+}
+
+// addLive inserts v, which just left the queue, into the live index.
+func (s *Simulation) addLive(v *vm.VM) {
+	i := s.liveIndex(v)
+	s.live = append(s.live, nil)
+	copy(s.live[i+1:], s.live[i:])
+	s.live[i] = v
+}
+
+// dropLive removes v, which is leaving node resources, from the live
+// index.
+func (s *Simulation) dropLive(v *vm.VM) {
+	i := s.liveIndex(v)
+	if i == len(s.live) || s.live[i] != v {
+		panic(fmt.Sprintf("datacenter: vm %d left node resources but is not in the live index", v.ID))
 	}
-	return buf
+	s.live = append(s.live[:i], s.live[i+1:]...)
 }

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"energysched"
+	"energysched/internal/workload"
 )
 
 // benchAdmitRouter measures concurrent admission throughput through
@@ -46,3 +48,46 @@ func benchAdmitRouter(b *testing.B, k int) {
 func BenchmarkAdmitRouterK1(b *testing.B) { benchAdmitRouter(b, 1) }
 func BenchmarkAdmitRouterK2(b *testing.B) { benchAdmitRouter(b, 2) }
 func BenchmarkAdmitRouterK4(b *testing.B) { benchAdmitRouter(b, 4) }
+
+// BenchmarkFleetReopen measures durable recovery at history scale:
+// each iteration opens a fleet whose directory already holds n
+// admitted jobs, which replays the snapshot and WAL and re-simulates
+// the whole history. Preparing the directory (admitting the jobs with
+// SyncOS) is untimed, and so is Close, so the number is Open alone.
+// Comparing the 5k and 20k cases shows whether recovery grows linearly
+// with history.
+func BenchmarkFleetReopen(b *testing.B) {
+	gcfg := workload.DefaultGeneratorConfig()
+	gcfg.Horizon = 120 * 24 * 3600
+	tr, err := workload.Generate(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{5000, 20000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			if len(tr.Jobs) < n {
+				b.Fatalf("generator yielded %d jobs, need %d", len(tr.Jobs), n)
+			}
+			cfg := Config{Policy: "SB", Seed: 1, Dir: b.TempDir(), SnapshotInterval: 256, WALSync: SyncOS}
+			f, err := Open("bench", cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := f.SubmitSource(workload.NewTraceSource(&workload.Trace{Jobs: tr.Jobs[:n]}), 256)
+			f.Close()
+			if err != nil || got != n {
+				b.Fatalf("admitted %d of %d jobs: %v", got, n, err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := Open("bench", cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				f.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"energysched/internal/obs"
 	"energysched/internal/obs/series"
 	"energysched/internal/obs/slo"
+	"energysched/internal/vm"
 	"energysched/internal/workload"
 )
 
@@ -1133,10 +1134,7 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 	for _, n := range cl.Nodes {
 		stateCount[n.State.String()]++
 	}
-	jobCount := map[string]int{}
-	for _, v := range f.sim.VMs() {
-		jobCount[v.State.String()]++
-	}
+	jobCount := f.sim.StateCounts()
 	samples := []metrics.PromSample{
 		{Name: "energysched_virtual_time_seconds", Help: "Current virtual time of the simulation.", Kind: metrics.PromGauge, Value: f.sim.Now()},
 		{Name: "energysched_queue_length", Help: "VMs waiting in the scheduler's virtual host.", Kind: metrics.PromGauge, Value: float64(f.sim.QueueLen())},
@@ -1152,10 +1150,10 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 			Labels: map[string]string{"state": state}, Value: float64(stateCount[state]),
 		})
 	}
-	for _, state := range []string{"queued", "creating", "running", "migrating", "completed", "failed"} {
+	for state, n := range jobCount {
 		samples = append(samples, metrics.PromSample{
 			Name: "energysched_jobs", Help: "Admitted jobs by lifecycle state.", Kind: metrics.PromGauge,
-			Labels: map[string]string{"state": state}, Value: float64(jobCount[state]),
+			Labels: map[string]string{"state": vm.State(state).String()}, Value: float64(n),
 		})
 	}
 	samples = append(samples,
