@@ -348,6 +348,20 @@ func BenchmarkScoreSolverRoundChurn(b *testing.B) {
 	}
 }
 
+// The dominant round of a simulation: nothing touched since the last
+// round and nothing to move, only virtual time advancing (one minute
+// per round, wrapping daily). Every base cell carries, and the round
+// costs its per-⟨VM, class⟩ time terms plus the record derivation.
+func BenchmarkScoreSolverRoundIdle(b *testing.B) {
+	sch, ctx := solverChurnSetup(core.SBConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Now = float64(i%1440) * 60
+		sch.Schedule(ctx)
+	}
+}
+
 // The same churn loop with the carry disabled — the full per-round
 // matrix rebuild the carry replaces.
 func BenchmarkScoreSolverRoundChurnFresh(b *testing.B) {

@@ -46,15 +46,18 @@ type Scheduler struct {
 	// cross is the previous round's base-matrix snapshot; the next*
 	// and *Src slices are the current round's build scratch (swapped
 	// into cross when the build publishes). See buildMatrix.
-	cross    crossState
-	nextBase []float64
-	nextRows []rowKey
-	nextCols []colKey
-	rowSrc   []int
-	colSrc   []int
-	classes  []*cluster.Class
-	classOf  []int
-	timeMove []float64
+	cross     crossState
+	nextBase  []float64
+	nextSum   []classSummary
+	nextRows  []rowKey
+	nextCols  []colKey
+	rowSrc    []int
+	colSrc    []int
+	staleCols []int  // columns re-scored this round, ascending
+	rebuild   []bool // class index -> summary needs a rescan (per row)
+	classes   []*cluster.Class
+	classOf   []int
+	classCols [][]int // class index -> its columns, ascending
 
 	// shd is the sharded engine's working state (Config.Shards != 0);
 	// see sharded.go. It keeps its own cross-round snapshot, so the
@@ -97,6 +100,10 @@ type SolverStats struct {
 	// ReusedCells counts base-matrix cells carried across rounds
 	// without re-evaluation.
 	ReusedCells int
+	// DenseRounds counts incremental-solver rounds that composed the
+	// dense V×H score matrix, which happens only before a round's first
+	// applied move; the other rounds pick from per-class summaries.
+	DenseRounds int
 
 	// --- sharded rounds (see sharded.go) ---
 

@@ -25,7 +25,39 @@ type shadow struct {
 	now     float64
 	// byID maps node ID -> node index; kept on the shadow so the
 	// scheduler's scratch shadow reuses it across rounds.
-	byID map[int]int
+	byID nodeIndex
+}
+
+// nodeIndex maps node IDs (0-based, see cluster.Node.ID) to column
+// indices through a dense slice indexed by ID. reset clears only the
+// entries the previous reset set, so re-pointing it at a round's hosts
+// costs O(H) however large the ID space is.
+type nodeIndex struct {
+	col []int // node ID -> column index, -1 = absent
+	ids []int // IDs set by the last reset
+}
+
+// reset maps each node's ID to its index in nodes.
+func (x *nodeIndex) reset(nodes []*cluster.Node) {
+	for _, id := range x.ids {
+		x.col[id] = -1
+	}
+	x.ids = x.ids[:0]
+	for i, n := range nodes {
+		for n.ID >= len(x.col) {
+			x.col = append(x.col, -1)
+		}
+		x.col[n.ID] = i
+		x.ids = append(x.ids, n.ID)
+	}
+}
+
+// get returns the column of node id, or -1 when it is not mapped.
+func (x *nodeIndex) get(id int) int {
+	if id < 0 || id >= len(x.col) {
+		return -1
+	}
+	return x.col[id]
 }
 
 func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
@@ -35,7 +67,7 @@ func newShadow(now float64, nodes []*cluster.Node, vms []*vm.VM) *shadow {
 }
 
 // reset points the shadow at a new round's hosts and candidates,
-// reusing the previous round's slices and map when capacity allows.
+// reusing the previous round's slices when capacity allows.
 func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	s.nodes, s.vms, s.now = nodes, vms, now
 	s.cpu = grow(s.cpu, len(nodes))
@@ -43,13 +75,8 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	s.count = grow(s.count, len(nodes))
 	s.assign = grow(s.assign, len(vms))
 	s.initial = grow(s.initial, len(vms))
-	if s.byID == nil {
-		s.byID = make(map[int]int, len(nodes))
-	} else {
-		clear(s.byID)
-	}
+	s.byID.reset(nodes)
 	for i, n := range nodes {
-		s.byID[n.ID] = i
 		// The node maintains its reservation sums incrementally
 		// (AddVM/RemoveVM), so seeding the shadow is O(1) per node and
 		// — critically for the cross-round matrix cache — the loads of
@@ -62,18 +89,18 @@ func (s *shadow) reset(now float64, nodes []*cluster.Node, vms []*vm.VM) {
 	for i, v := range vms {
 		s.assign[i] = -1
 		if v.Active() {
-			if idx, ok := s.byID[v.Host]; ok {
-				s.assign[i] = idx
-			}
+			s.assign[i] = s.byID.get(v.Host)
 		}
 		s.initial[i] = s.assign[i]
 	}
 }
 
-// grow returns a slice of length n, reusing buf's capacity.
+// grow returns a slice of length n, reusing buf's capacity. A new
+// slice gets 50% headroom, so a size that creeps up round by round
+// reallocates O(log n) times rather than on every new high-water mark.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/2)
 	}
 	return buf[:n]
 }

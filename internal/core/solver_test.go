@@ -396,6 +396,13 @@ func TestDifferentialMultiRoundChurn(t *testing.T) {
 		if inc.Stats.ReusedCells == 0 {
 			t.Fatalf("seed %d: cross-round carry never reused a cell", seed)
 		}
+		// Both round shapes must be compared against the oracle: rounds
+		// that pick from the summaries alone, and rounds that compose
+		// the dense matrix to apply moves.
+		if d := inc.Stats.DenseRounds; d == 0 || d >= inc.Stats.Rounds {
+			t.Fatalf("seed %d: %d of %d rounds composed the dense matrix; want some but not all",
+				seed, d, inc.Stats.Rounds)
+		}
 		if inc.Stats.Moves != nai.Stats.Moves {
 			t.Fatalf("seed %d: moves diverged: %d vs %d", seed, inc.Stats.Moves, nai.Stats.Moves)
 		}
