@@ -1,14 +1,12 @@
 package energysched
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 )
 
 // Accounting wire types and client calls: the energy/SLA time-series
@@ -242,47 +240,13 @@ func (c *Client) JourneyTail(ctx context.Context, since uint64, fn func(ev Journ
 	if since > 0 {
 		path += "&since=" + strconv.FormatUint(since, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: "journey stream rejected"}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
-			data := strings.TrimSpace(line[5:])
-			if event == "gap" {
-				// The requested resume point was evicted; resuming here
-				// would silently skip steps. Terminal: re-sync instead.
-				return parseSSEGap(data)
-			}
-			var ev JourneyEvent
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				return fmt.Errorf("energysched: decoding journey step: %w", err)
-			}
-			if err := fn(ev); err != nil {
-				return err
-			}
+	return c.readSSE(ctx, path, "journey", func(_ uint64, data []byte) error {
+		var ev JourneyEvent
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return fmt.Errorf("energysched: decoding journey step: %w", err)
 		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
+		return fn(ev)
+	})
 }
 
 // Alerts fetches the SLO burn-rate verdicts: every fleet's objectives

@@ -170,11 +170,7 @@ type FleetSpec struct {
 	// JourneyDepth > 0 overrides how many job lifecycle journeys the
 	// fleet retains for GET /jobs/{id}/journey (default 2048).
 	JourneyDepth int `json:"journey_depth,omitempty"`
-	// AdmitShards > 0 overrides how many admission intake shards front
-	// the fleet's event loop (default 1). Reports, traces, journeys and
-	// series are byte-identical at any K — an ingest-throughput knob.
-	AdmitShards int `json:"admit_shards,omitempty"`
-	// AdmitQueue > 0 bounds each admission shard's queue (default 256);
+	// AdmitQueue > 0 bounds the fleet's admission queue (default 256);
 	// a full queue sheds submits with 429 + Retry-After.
 	AdmitQueue int `json:"admit_queue,omitempty"`
 	// RateLimit > 0 throttles the fleet's admissions to this many jobs
@@ -421,13 +417,60 @@ func (e *GapError) Error() string {
 		e.Gap.Requested, e.Gap.Oldest)
 }
 
-// parseSSEGap decodes a gap event's payload into a GapError.
-func parseSSEGap(data string) error {
-	var g EventGap
-	if err := json.Unmarshal([]byte(data), &g); err != nil {
-		return fmt.Errorf("energysched: decoding gap event: %w", err)
+// maxSSELine caps one server-sent-event line (a round trace at
+// "scores" verbosity is the largest frame the daemon sends).
+const maxSSELine = 1 << 20
+
+// readSSE is the one client-side SSE reader behind Events, TraceTail
+// and JourneyTail: it opens path, and calls fn with the id and payload
+// of every data line until ctx is cancelled, the stream ends, or fn
+// returns a non-nil error (which is returned). A gap event — the
+// requested resume point was evicted, so the stream would silently
+// skip — is terminal and returned as a *GapError so the caller can
+// re-sync. what names the stream in errors.
+func (c *Client) readSSE(ctx context.Context, path, what string, fn func(id uint64, data []byte) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return err
 	}
-	return &GapError{Gap: g}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		return &APIError{Status: resp.StatusCode, Message: what + " stream rejected"}
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), maxSSELine)
+	var id uint64
+	event := ""
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "id:"):
+			id, _ = strconv.ParseUint(strings.TrimSpace(line[3:]), 10, 64)
+		case strings.HasPrefix(line, "event:"):
+			event = strings.TrimSpace(line[6:])
+		case strings.HasPrefix(line, "data:"):
+			data := []byte(strings.TrimSpace(line[5:]))
+			if event == "gap" {
+				var g EventGap
+				if err := json.Unmarshal(data, &g); err != nil {
+					return fmt.Errorf("energysched: decoding gap event: %w", err)
+				}
+				return &GapError{Gap: g}
+			}
+			if err := fn(id, data); err != nil {
+				return err
+			}
+		}
+	}
+	if err := sc.Err(); err != nil && ctx.Err() == nil {
+		return err
+	}
+	return nil
 }
 
 // Client talks to an energyschedd daemon. The zero prefix addresses
@@ -806,47 +849,13 @@ func (c *Client) TraceTail(ctx context.Context, since uint64, fn func(rt TraceRo
 	if since > 0 {
 		path += "&since=" + strconv.FormatUint(since, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: "trace stream rejected"}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
-			data := strings.TrimSpace(line[5:])
-			if event == "gap" {
-				// The requested resume point was evicted; the tail would
-				// silently skip rounds. Terminal: let the caller re-sync.
-				return parseSSEGap(data)
-			}
-			var rt TraceRound
-			if err := json.Unmarshal([]byte(data), &rt); err != nil {
-				return fmt.Errorf("energysched: decoding trace: %w", err)
-			}
-			if err := fn(rt); err != nil {
-				return err
-			}
+	return c.readSSE(ctx, path, "trace", func(_ uint64, data []byte) error {
+		var rt TraceRound
+		if err := json.Unmarshal(data, &rt); err != nil {
+			return fmt.Errorf("energysched: decoding trace: %w", err)
 		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
+		return fn(rt)
+	})
 }
 
 // Events subscribes to the daemon's event stream (GET /v1/events,
@@ -859,48 +868,11 @@ func (c *Client) Events(ctx context.Context, since uint64, fn func(seq uint64, e
 	if since > 0 {
 		path += "?since=" + strconv.FormatUint(since, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return &APIError{Status: resp.StatusCode, Message: "event stream rejected"}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	var seq uint64
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id:"):
-			seq, _ = strconv.ParseUint(strings.TrimSpace(line[3:]), 10, 64)
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
-			data := strings.TrimSpace(line[5:])
-			if event == "gap" {
-				// The requested resume point was evicted; resuming here
-				// would silently skip events. Terminal: re-sync instead.
-				return parseSSEGap(data)
-			}
-			var e Event
-			if err := json.Unmarshal([]byte(data), &e); err != nil {
-				return fmt.Errorf("energysched: decoding event: %w", err)
-			}
-			if err := fn(seq, e); err != nil {
-				return err
-			}
+	return c.readSSE(ctx, path, "event", func(seq uint64, data []byte) error {
+		var e Event
+		if err := json.Unmarshal(data, &e); err != nil {
+			return fmt.Errorf("energysched: decoding event: %w", err)
 		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
+		return fn(seq, e)
+	})
 }

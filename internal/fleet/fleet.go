@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"energysched"
@@ -106,14 +107,9 @@ type Config struct {
 	// the accounting series at every tick (nil = no SLO engine). Must
 	// be pre-validated (slo.Parse does).
 	SLOs []slo.Objective
-	// AdmitShards is how many admission intake shards front the event
-	// loop (default 1). Requests are hash-partitioned across shards by
-	// ingest sequence and merged back deterministically, so reports,
-	// traces, journeys and series are byte-identical at any K — a pure
-	// ingest-throughput knob, like Shards is for the solver.
-	AdmitShards int
-	// AdmitQueue bounds each admission shard's queue (default 256).
-	// A full queue sheds with 429 + Retry-After instead of blocking.
+	// AdmitQueue bounds the admission queue the event loop drains
+	// (default 256). A full queue sheds with 429 + Retry-After instead
+	// of blocking.
 	AdmitQueue int
 	// RateLimit throttles admission to this many jobs per second via a
 	// token bucket (0 = unlimited). Over-limit requests are shed with
@@ -141,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WALSync == "" {
 		c.WALSync = SyncAlways
-	}
-	if c.AdmitShards <= 0 {
-		c.AdmitShards = 1
 	}
 	if c.AdmitQueue <= 0 {
 		c.AdmitQueue = 256
@@ -213,7 +206,11 @@ type Fleet struct {
 	series   *series.Store
 	journeys *obs.JourneyStore
 	sloEng   *slo.Engine // nil without objectives
-	router   *admitRouter
+	admitq   admitQueue
+	// published is a copy of cfg for readers off the event loop (the
+	// registry manifest, Pace); republished whenever the loop adopts a
+	// configuration.
+	published atomic.Pointer[Config]
 
 	cmds     chan func()
 	stopc    chan struct{}
@@ -258,6 +255,9 @@ func Open(id string, cfg Config) (*Fleet, error) {
 		journeys: obs.NewJourneyStore(cfg.JourneyDepth, cfg.JourneyDepth),
 		gen:      1,
 	}
+	f.publishConfig()
+	f.admitq.ch = make(chan *admitRequest, f.cfg.AdmitQueue)
+	f.admitq.bucket = newTokenBucket(f.cfg.RateLimit, f.cfg.RateBurst)
 	if len(cfg.SLOs) > 0 {
 		f.sloEng = slo.NewEngine(cfg.SLOs)
 	}
@@ -274,7 +274,6 @@ func Open(id string, cfg Config) (*Fleet, error) {
 	f.wallStart = time.Now()
 	f.wg.Add(1)
 	go f.loop()
-	f.router = newAdmitRouter(f)
 	return f, nil
 }
 
@@ -372,7 +371,7 @@ func maxWatermark(now float64, jobs []workload.Job) float64 {
 func (f *Fleet) ID() string { return f.id }
 
 // Pace returns the configured acceleration (<= 0 = max pacing).
-func (f *Fleet) Pace() float64 { return f.cfg.Pace }
+func (f *Fleet) Pace() float64 { return f.published.Load().Pace }
 
 // Broker returns the fleet's SSE event broker.
 func (f *Fleet) Broker() *Broker { return f.broker }
@@ -382,9 +381,6 @@ func (f *Fleet) Broker() *Broker { return f.broker }
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stopc) })
 	f.wg.Wait()
-	if f.router != nil {
-		f.router.stop()
-	}
 	f.broker.close()
 	f.repl.close()
 	f.ring.Close()
@@ -434,6 +430,8 @@ func (f *Fleet) loop() {
 		select {
 		case fn := <-f.cmds:
 			fn()
+		case req := <-f.admitq.ch:
+			f.admitTurn(req)
 		case <-tick:
 			f.advanceRealtime()
 		case <-f.stopc:
@@ -541,11 +539,12 @@ func (f *Fleet) rebuild(jobs []workload.Job, now float64, sealed bool) error {
 
 // --- admission ---
 
-// Submit admits one job through the admission router: rate-limited,
-// shard-queued, merge-arbitrated (shard.go). Over-limit and
-// full-queue requests come back as 429 fleet.Errors with Retry-After.
+// Submit admits one job through the admission queue: rate-limited,
+// bounded, applied in the event loop's next admission turn
+// (admission.go). Over-limit and full-queue requests come back as 429
+// fleet.Errors with Retry-After.
 func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) {
-	out, err := f.router.submit([]energysched.JobSpec{spec})
+	out, err := f.submit([]energysched.JobSpec{spec})
 	if err != nil {
 		return energysched.JobStatus{}, err
 	}
@@ -556,14 +555,14 @@ func (f *Fleet) Submit(spec energysched.JobSpec) (energysched.JobStatus, error) 
 // single event-loop turn: either every job is admitted or none is,
 // and virtual time does not advance between the batch's admissions —
 // which makes a batch at max pacing byte-identical to submitting the
-// same jobs sequentially. Batches ride the admission router like
+// same jobs sequentially. Batches ride the admission queue like
 // Submit, so rate limits and queue bounds apply.
 func (f *Fleet) SubmitBatch(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
-	return f.router.submit(specs)
+	return f.submit(specs)
 }
 
 // submitDirect admits a batch on the event loop, bypassing the
-// admission router: no rate limit, no shard queue. Bulk internal
+// admission queue: no rate limit, no queue bound. Bulk internal
 // loads (SubmitSource) use it so replaying a trace into a
 // rate-limited fleet is not throttled like external traffic.
 func (f *Fleet) submitDirect(specs []energysched.JobSpec) ([]energysched.JobStatus, error) {
@@ -1052,6 +1051,14 @@ func (f *Fleet) adoptSnapshotConfig(sc snapshotConfig) {
 			Cempty: sc.Cempty, Cfill: sc.Cfill, THempty: sc.THempty,
 		}
 	}
+	f.publishConfig()
+}
+
+// publishConfig republishes cfg for readers off the event loop. Call
+// only from the event loop (or before it starts) after changing cfg.
+func (f *Fleet) publishConfig() {
+	c := f.cfg
+	f.published.Store(&c)
 }
 
 // restore rebuilds the fleet from a snapshot file. The fleet starts a
@@ -1090,6 +1097,7 @@ func (f *Fleet) applySnapshot(snap snapshotFile, source string) error {
 	}
 	if err := f.rebuild(jobs, snap.SavedVirtual, snap.Sealed); err != nil {
 		f.cfg = oldCfg
+		f.publishConfig()
 		return errf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	// The new timeline supersedes the WAL: republish the state as the
@@ -1209,7 +1217,7 @@ func (f *Fleet) gatherMetrics() []metrics.PromSample {
 		Name: "energysched_trace_rounds_total", Help: "Solver round traces recorded in the trace ring.",
 		Kind: metrics.PromCounter, Value: float64(f.ring.Seq()),
 	})
-	samples = f.router.metricsSamples(samples)
+	samples = f.admitq.metricsSamples(samples)
 	samples = f.accountingSamples(samples)
 	samples = f.hists.samples(samples)
 	return samples

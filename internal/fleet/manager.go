@@ -78,7 +78,6 @@ type manifestConfig struct {
 	WALSync          string  `json:"wal_sync,omitempty"`
 	TraceVerbosity   string  `json:"trace_verbosity,omitempty"`
 	TraceDepth       int     `json:"trace_depth,omitempty"`
-	AdmitShards      int     `json:"admit_shards,omitempty"`
 	AdmitQueue       int     `json:"admit_queue,omitempty"`
 	RateLimit        float64 `json:"rate_limit,omitempty"`
 	RateBurst        int     `json:"rate_burst,omitempty"`
@@ -104,7 +103,6 @@ func toManifestConfig(c Config) manifestConfig {
 		WALSync:          c.WALSync,
 		TraceVerbosity:   c.TraceVerbosity,
 		TraceDepth:       c.TraceDepth,
-		AdmitShards:      c.AdmitShards,
 		AdmitQueue:       c.AdmitQueue,
 		RateLimit:        c.RateLimit,
 		RateBurst:        c.RateBurst,
@@ -136,7 +134,6 @@ func (mc manifestConfig) config() Config {
 		WALSync:           mc.WALSync,
 		TraceVerbosity:    mc.TraceVerbosity,
 		TraceDepth:        mc.TraceDepth,
-		AdmitShards:       mc.AdmitShards,
 		AdmitQueue:        mc.AdmitQueue,
 		RateLimit:         mc.RateLimit,
 		RateBurst:         mc.RateBurst,
@@ -364,7 +361,7 @@ func (m *Manager) saveManifestLocked() error {
 	sort.Strings(ids)
 	for _, id := range ids {
 		manifest.Fleets = append(manifest.Fleets, manifestEntry{
-			ID: id, Config: toManifestConfig(m.fleets[id].cfg),
+			ID: id, Config: toManifestConfig(*m.fleets[id].published.Load()),
 		})
 	}
 	data, err := json.MarshalIndent(manifest, "", "  ")

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"net/http"
 	"strconv"
-	"time"
 
 	"energysched/internal/fleet"
 	"energysched/internal/obs"
@@ -152,66 +151,17 @@ func (s *Server) handleJourneys(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if fv := r.URL.Query().Get("follow"); fv != "" && fv != "0" {
-		var since uint64
-		if v := r.URL.Query().Get("since"); v != "" {
-			since, _ = strconv.ParseUint(v, 10, 64)
-		} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-			since, _ = strconv.ParseUint(v, 10, 64)
-		}
-		s.tailJourneys(w, r, f, since)
+		sseTail[obs.RingEvent]{
+			subscribe: func(since uint64) ([]obs.RingEvent, bool, <-chan obs.RingEvent, func()) {
+				sub, backlog, gap := f.JourneySubscribe(since)
+				return backlog, gap, sub.Ch, func() { f.JourneyUnsubscribe(sub) }
+			},
+			seq:   ringSeq,
+			write: writeJourneySSE,
+		}.serve(w, r, s.heartbeat())
 		return
 	}
 	writeJSON(w, http.StatusOK, JourneysBody{Seq: f.JourneySeq(), Journeys: f.JourneySummaries()})
-}
-
-// tailJourneys streams the journey firehose over SSE, mirroring
-// tailTrace: gapless backlog then live steps, keepalive pings on idle
-// fleets, slow consumers cut loose by the ring.
-func (s *Server) tailJourneys(w http.ResponseWriter, r *http.Request, f *fleet.Fleet, since uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
-		return
-	}
-	sub, backlog, gap := f.JourneySubscribe(since)
-	defer f.JourneyUnsubscribe(sub)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if gap {
-		writeSSEGap(w, since, oldestSeq(len(backlog), func(i int) uint64 { return backlog[i].Seq }))
-	}
-	for _, ev := range backlog {
-		writeJourneySSE(w, ev)
-	}
-	fl.Flush()
-
-	heartbeat := time.NewTicker(s.heartbeat())
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev, ok := <-sub.Ch:
-			if !ok {
-				return // slow consumer cut loose, or the fleet closed
-			}
-			writeJourneySSE(w, ev)
-			for len(sub.Ch) > 0 {
-				if ev, ok = <-sub.Ch; !ok {
-					return
-				}
-				writeJourneySSE(w, ev)
-			}
-			fl.Flush()
-		case <-heartbeat.C:
-			w.Write([]byte(": ping\n\n"))
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 func writeJourneySSE(w http.ResponseWriter, ev obs.RingEvent) {

@@ -102,17 +102,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	}
 	if fv := r.URL.Query().Get("follow"); fv != "" && fv != "0" {
-		s.tailTrace(w, r, f, since)
+		sseTail[obs.TraceEvent]{
+			subscribe: func(since uint64) ([]obs.TraceEvent, bool, <-chan obs.TraceEvent, func()) {
+				sub, backlog, gap := f.TraceSubscribe(since)
+				return backlog, gap, sub.Ch, func() { f.TraceUnsubscribe(sub) }
+			},
+			seq:   ringSeq,
+			write: writeTraceSSE,
+		}.serve(w, r, s.heartbeat())
 		return
 	}
-	evs := f.TraceSnapshot(since)
+	evs := f.TraceSnapshot(sseSince(r))
 	body := TraceSnapshotBody{
 		Seq:       f.TraceSeq(),
 		Verbosity: f.TraceVerbosity().String(),
@@ -124,56 +125,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// tailTrace streams the trace ring over SSE, mirroring handleEvents:
-// gapless backlog then live rounds, heartbeats through proxies, slow
-// consumers cut loose by the ring rather than backpressuring the
-// solver.
-func (s *Server) tailTrace(w http.ResponseWriter, r *http.Request, f *fleet.Fleet, since uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
-		return
-	}
-	sub, backlog, gap := f.TraceSubscribe(since)
-	defer f.TraceUnsubscribe(sub)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if gap {
-		writeSSEGap(w, since, oldestSeq(len(backlog), func(i int) uint64 { return backlog[i].Seq }))
-	}
-	for _, ev := range backlog {
-		writeTraceSSE(w, ev)
-	}
-	fl.Flush()
-
-	heartbeat := time.NewTicker(s.heartbeat())
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev, ok := <-sub.Ch:
-			if !ok {
-				return // slow consumer cut loose, or the fleet closed
-			}
-			writeTraceSSE(w, ev)
-			for len(sub.Ch) > 0 {
-				if ev, ok = <-sub.Ch; !ok {
-					return
-				}
-				writeTraceSSE(w, ev)
-			}
-			fl.Flush()
-		case <-heartbeat.C:
-			w.Write([]byte(": ping\n\n"))
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
+// ringSeq is the sequence number of a trace or journey ring event.
+func ringSeq(ev obs.RingEvent) uint64 { return ev.Seq }
 
 func writeTraceSSE(w http.ResponseWriter, ev obs.TraceEvent) {
 	w.Write([]byte("id: " + strconv.FormatUint(ev.Seq, 10) + "\nevent: round\ndata: "))

@@ -135,12 +135,9 @@ type Config struct {
 	// SSEHeartbeat overrides the keepalive ping period of idle SSE
 	// streams (events, trace, journey firehose); 0 = default 15s.
 	SSEHeartbeat time.Duration
-	// AdmitShards is each fleet's admission intake shard count
-	// (0 = default 1). Byte-identical at any K; a pure ingest-throughput
-	// knob. Fleets inherit it unless their FleetSpec overrides.
-	AdmitShards int
-	// AdmitQueue bounds each admission shard's queue (0 = default 256);
-	// a full queue sheds with 429 + Retry-After.
+	// AdmitQueue bounds each fleet's admission queue (0 = default 256);
+	// a full queue sheds with 429 + Retry-After. Fleets inherit it
+	// unless their FleetSpec overrides.
 	AdmitQueue int
 	// RateLimit throttles each fleet's admissions to this many jobs per
 	// second (0 = unlimited); over-limit submits get 429 + Retry-After.
@@ -321,7 +318,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 		SeriesDepth:       s.cfg.SeriesDepth,
 		JourneyDepth:      s.cfg.JourneyDepth,
 		SLOs:              s.cfg.SLOs,
-		AdmitShards:       s.cfg.AdmitShards,
 		AdmitQueue:        s.cfg.AdmitQueue,
 		RateLimit:         s.cfg.RateLimit,
 		RateBurst:         s.cfg.RateBurst,
@@ -373,9 +369,6 @@ func (s *Server) fleetConfig(id string, spec energysched.FleetSpec) fleet.Config
 	}
 	if spec.JourneyDepth > 0 {
 		fc.JourneyDepth = spec.JourneyDepth
-	}
-	if spec.AdmitShards > 0 {
-		fc.AdmitShards = spec.AdmitShards
 	}
 	if spec.AdmitQueue > 0 {
 		fc.AdmitQueue = spec.AdmitQueue
@@ -544,9 +537,9 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if spec.AdmitShards < 0 || spec.AdmitQueue < 0 || spec.RateLimit < 0 || spec.RateBurst < 0 {
+	if spec.AdmitQueue < 0 || spec.RateLimit < 0 || spec.RateBurst < 0 {
 		writeErr(w, &fleet.Error{Status: http.StatusBadRequest,
-			Msg: "admit_shards, admit_queue, rate_limit and rate_burst must be >= 0"})
+			Msg: "admit_queue, rate_limit and rate_burst must be >= 0"})
 		return
 	}
 	f, err := s.mgr.Create(spec.ID, s.fleetConfig(spec.ID, spec))
@@ -1075,20 +1068,57 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	broker := f.Broker()
+	sseTail[fleet.StreamEvent]{
+		subscribe: func(since uint64) ([]fleet.StreamEvent, bool, <-chan fleet.StreamEvent, func()) {
+			sub, backlog, gap := broker.Subscribe(since)
+			return backlog, gap, sub.Ch, func() { broker.Unsubscribe(sub) }
+		},
+		seq:   func(ev fleet.StreamEvent) uint64 { return ev.Seq },
+		write: writeSSE,
+	}.serve(w, r, s.heartbeat())
+}
+
+func writeSSE(w http.ResponseWriter, ev fleet.StreamEvent) {
+	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, ev.Data)
+}
+
+// sseSince is a stream's resume point: ?since=N, else the
+// Last-Event-ID header a reconnecting EventSource sends, else 0.
+func sseSince(r *http.Request) uint64 {
+	v := r.URL.Query().Get("since")
+	if v == "" {
+		v = r.Header.Get("Last-Event-ID")
+	}
+	since, _ := strconv.ParseUint(v, 10, 64)
+	return since
+}
+
+// sseTail is one SSE stream: the events, trace and journey tails all
+// serve through it and differ only in their subscription and framing.
+type sseTail[E any] struct {
+	// subscribe attaches a consumer and returns the gapless backlog
+	// since the resume point, whether that point was evicted, the live
+	// channel, and the func that detaches the consumer.
+	subscribe func(since uint64) (backlog []E, gap bool, live <-chan E, release func())
+	seq       func(E) uint64               // an event's sequence number
+	write     func(http.ResponseWriter, E) // one event's frame
+}
+
+// serve streams the tail: the gap event when the resume point was
+// evicted, the backlog, then live events — draining whatever is
+// already buffered before each flush — with heartbeat pings through
+// proxies while idle. Slow consumers are cut loose by the ring (their
+// live channel closes) rather than backpressuring the fleet.
+func (t sseTail[E]) serve(w http.ResponseWriter, r *http.Request, heartbeat time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, &fleet.Error{Status: http.StatusInternalServerError, Msg: "streaming unsupported"})
 		return
 	}
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseUint(v, 10, 64)
-	}
-	broker := f.Broker()
-	sub, backlog, gap := broker.Subscribe(since)
-	defer broker.Unsubscribe(sub)
+	since := sseSince(r)
+	backlog, gap, live, release := t.subscribe(since)
+	defer release()
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -1096,50 +1126,40 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	if gap {
-		writeSSEGap(w, since, oldestSeq(len(backlog), func(i int) uint64 { return backlog[i].Seq }))
+		var oldest uint64
+		if len(backlog) > 0 {
+			oldest = t.seq(backlog[0])
+		}
+		writeSSEGap(w, since, oldest)
 	}
 	for _, ev := range backlog {
-		writeSSE(w, ev)
+		t.write(w, ev)
 	}
 	fl.Flush()
 
-	heartbeat := time.NewTicker(s.heartbeat())
-	defer heartbeat.Stop()
+	tick := time.NewTicker(heartbeat)
+	defer tick.Stop()
 	for {
 		select {
-		case ev, ok := <-sub.Ch:
+		case ev, ok := <-live:
 			if !ok {
 				return // slow consumer cut loose, or the fleet closed
 			}
-			writeSSE(w, ev)
-			// Drain whatever is already buffered before flushing.
-			for len(sub.Ch) > 0 {
-				if ev, ok = <-sub.Ch; !ok {
+			t.write(w, ev)
+			for len(live) > 0 {
+				if ev, ok = <-live; !ok {
 					return
 				}
-				writeSSE(w, ev)
+				t.write(w, ev)
 			}
 			fl.Flush()
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": ping\n\n")
+		case <-tick.C:
+			w.Write([]byte(": ping\n\n"))
 			fl.Flush()
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-func writeSSE(w http.ResponseWriter, ev fleet.StreamEvent) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, ev.Data)
-}
-
-// oldestSeq extracts the first retained sequence number from a backlog
-// (0 when nothing is retained) for the gap event's "oldest" field.
-func oldestSeq(n int, seqAt func(int) uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return seqAt(0)
 }
 
 // writeSSEGap emits the explicit gap event every SSE endpoint sends
